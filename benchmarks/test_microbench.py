@@ -13,8 +13,8 @@ import pytest
 from repro.backends.base import IoKind
 from repro.backends.ssd import make_ssd_device
 from repro.backends.zswap import ZswapBackend
-from repro.kernel.lru import LruSet
-from repro.kernel.page import Page, PageKind
+from repro.kernel.lru import LruVec
+from repro.kernel.page import PageKind, PageState, PageTable
 from repro.kernel.shadow import ShadowMap
 from repro.backends.filesystem import FilesystemBackend
 from repro.kernel.mm import MemoryManager
@@ -56,19 +56,18 @@ def test_psi_transition_throughput(benchmark):
 
 
 def test_lru_touch_throughput(benchmark):
-    lruset = LruSet(PageKind.FILE, "g")
-    pages = [
-        Page(page_id=i, kind=PageKind.FILE, cgroup="g")
-        for i in range(4096)
-    ]
-    for page in pages:
-        lruset.insert_new(page)
+    table = PageTable()
+    pages = table.append(
+        4096, 0, PageKind.FILE, PageState.RESIDENT, False, 3.0, 0.0
+    )
+    lru = LruVec(table, 0, PageKind.FILE)
+    lru.insert_new_many(pages)
     rng = derive_rng(BENCH_SEED, "microbench:lru-order")
-    order = rng.integers(0, len(pages), size=512)
+    order = rng.integers(0, len(pages), size=512).tolist()
 
     def touches():
         for i in order:
-            lruset.touch(pages[i])
+            lru.touch(i)
 
     benchmark(touches)
 
@@ -81,9 +80,10 @@ def test_reclaim_scan_throughput(benchmark):
     def reclaim_and_restore():
         outcome = mm.memory_reclaim("app", 64 * PAGE, now=1.0)
         # Restore so each round reclaims from the same population.
-        for page in mm.pages("app"):
-            if not page.resident:
-                mm.touch(page, now=2.0)
+        pages = mm.pages("app")
+        offloaded = pages[mm.table.state[pages] != PageState.RESIDENT]
+        for page in offloaded.tolist():
+            mm.touch(page, now=2.0)
         return outcome
 
     benchmark(reclaim_and_restore)

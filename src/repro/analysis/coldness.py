@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.workloads.base import Workload
 
 
@@ -35,25 +37,21 @@ def measure_coldness(workload: Workload, now: float) -> ColdnessProfile:
     been touched; placement does not affect recency.
     """
     pages = workload.pages
-    if not pages:
+    if len(pages) == 0:
         raise ValueError(
             f"workload {workload.profile.name!r} has no pages to profile"
         )
-    buckets = [0, 0, 0, 0]
-    for page in pages:
-        age = now - page.last_access
-        if age <= 60.0:
-            buckets[0] += 1
-        elif age <= 120.0:
-            buckets[1] += 1
-        elif age <= 300.0:
-            buckets[2] += 1
-        else:
-            buckets[3] += 1
+    ages = now - workload.mm.table.last_access[pages]
+    # Bucket i holds ages in (edges[i-1], edges[i]]; the last bucket is
+    # everything older than five minutes.
+    buckets = np.bincount(
+        np.searchsorted([60.0, 120.0, 300.0], ages, side="left"),
+        minlength=4,
+    )
     total = len(pages)
     return ColdnessProfile(
-        used_1min=buckets[0] / total,
-        used_2min=buckets[1] / total,
-        used_5min=buckets[2] / total,
-        cold=buckets[3] / total,
+        used_1min=int(buckets[0]) / total,
+        used_2min=int(buckets[1]) / total,
+        used_5min=int(buckets[2]) / total,
+        cold=int(buckets[3]) / total,
     )

@@ -1,9 +1,10 @@
 """Field-level encoders/decoders for the full host state.
 
 ``encode_host_state`` walks every mutable structure of a
-:class:`~repro.sim.host.Host` — clock, memory manager, cgroups, LRU
-orders, shadow entries, PSI groups/tasks/averages, device queues and
-fault seams, RNG streams, workloads, controllers, metric series — into
+:class:`~repro.sim.host.Host` — clock, memory manager and its page
+table, cgroups, LRU list lengths, shadow entries, PSI
+groups/tasks/averages, device queues and fault seams, RNG streams,
+workloads, controllers, metric series — into
 plain JSON types (dicts with string keys, lists, numbers, strings,
 booleans, None). ``build_host`` does the inverse: construct a fresh
 ``Host`` from the snapshotted config, then overwrite all mutable state
@@ -12,10 +13,12 @@ crash-equivalence guarantee the chaos harness verifies.
 
 Encoding conventions:
 
-* dicts with non-string keys (tuple-keyed PSI totals, int-keyed page
-  tables) become lists of ``[key..., value]`` entries, preserving
-  insertion order — Python dict order is semantic here (LRU order,
-  controller polling order, metric series order);
+* dicts with non-string keys (tuple-keyed PSI totals, int-keyed
+  shadow entries) become lists of ``[key..., value]`` entries,
+  preserving insertion order — Python dict order is semantic here
+  (controller polling order, metric series order);
+* the page table is encoded column by column, one list per numpy
+  column; LRU order is its ``seq`` column;
 * enums are encoded by ``.value`` and rebuilt by construction;
 * NumPy generator state round-trips through
   ``Generator.bit_generator.state`` (a JSON-clean dict).
@@ -29,7 +32,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.checkpoint.snapshot import PAYLOAD_KIND, SnapshotError
-from repro.kernel.page import Page, PageKind, PageState
+from repro.kernel.page import PageKind
 from repro.psi.avgs import RunningAverages
 from repro.psi.group import PsiGroup
 from repro.psi.trigger import PsiTrigger, TriggerSpec
@@ -252,37 +255,51 @@ def _apply_backends(host, enc: Dict[str, Any]) -> None:
 
 
 # ----------------------------------------------------------------------
-# memory manager: pages, cgroups, LRU orders, shadow entries
+# memory manager: the page table, cgroups, shadow entries
 
 
-def _encode_page(page: Page) -> List[Any]:
-    return [
-        int(page.page_id),
-        page.kind.value,
-        page.cgroup,
-        page.state.value,
-        bool(page.active),
-        bool(page.referenced),
-        bool(page.dirty),
-        float(page.compressibility),
-        float(page.last_access),
-        _opt_int(page.shadow_stamp),
-    ]
+def _encode_table(table) -> Dict[str, Any]:
+    """The page table, one JSON list per column.
+
+    LRU order needs no encoding of its own: it is ascending ``seq``
+    within each list, so it round-trips with the ``seq`` column.
+    """
+    n = table.n_pages
+    return {
+        "n_pages": int(n),
+        "next_seq": int(table.next_seq),
+        "state": table.state[:n].tolist(),
+        "kind": table.kind[:n].tolist(),
+        "cgroup": table.cgroup[:n].tolist(),
+        "active": table.active[:n].tolist(),
+        "referenced": table.referenced[:n].tolist(),
+        "dirty": table.dirty[:n].tolist(),
+        "compressibility": table.compressibility[:n].tolist(),
+        "last_access": table.last_access[:n].tolist(),
+        "seq": table.seq[:n].tolist(),
+    }
 
 
-def _decode_page(enc: List[Any]) -> Page:
-    return Page(
-        page_id=int(enc[0]),
-        kind=PageKind(enc[1]),
-        cgroup=enc[2],
-        state=PageState(enc[3]),
-        active=bool(enc[4]),
-        referenced=bool(enc[5]),
-        dirty=bool(enc[6]),
-        compressibility=float(enc[7]),
-        last_access=float(enc[8]),
-        shadow_stamp=_opt_int(enc[9]),
-    )
+def _apply_table(table, enc: Dict[str, Any], remap: np.ndarray) -> None:
+    """Overwrite ``table`` with an encoded one.
+
+    ``remap`` maps the snapshot's cgroup indices to this host's (the
+    last entry maps a released page's ``-1`` to itself).
+    """
+    n = int(enc["n_pages"])
+    table.n_pages = 0
+    table._reserve(n)
+    table.n_pages = n
+    table.next_seq = int(enc["next_seq"])
+    table.state[:n] = enc["state"]
+    table.kind[:n] = enc["kind"]
+    table.cgroup[:n] = remap[np.asarray(enc["cgroup"], dtype=np.int64)]
+    table.active[:n] = enc["active"]
+    table.referenced[:n] = enc["referenced"]
+    table.dirty[:n] = enc["dirty"]
+    table.compressibility[:n] = enc["compressibility"]
+    table.last_access[:n] = enc["last_access"]
+    table.seq[:n] = enc["seq"]
 
 
 def _encode_rate(rate) -> List[float]:
@@ -300,12 +317,6 @@ def _encode_cgroup(cg) -> Dict[str, Any]:
         int(getattr(cg.vmstat, f.name))
         for f in dataclasses.fields(cg.vmstat)
     ]
-    lru: Dict[str, Any] = {}
-    for kind, lru_set in cg.lru.items():
-        lru[kind.value] = {
-            "active": [int(pid) for pid in lru_set.active._pages],
-            "inactive": [int(pid) for pid in lru_set.inactive._pages],
-        }
     return {
         "name": cg.name,
         "parent": cg.parent.name if cg.parent is not None else None,
@@ -331,11 +342,14 @@ def _encode_cgroup(cg) -> Dict[str, Any]:
                 for pid, stamp in cg.shadow._stamps.items()
             ],
         },
-        "lru": lru,
+        # LRU list lengths, [inactive, active] per kind (anon, file).
+        "lru": [
+            list(cg.lru[kind].nr) for kind in (PageKind.ANON, PageKind.FILE)
+        ],
     }
 
 
-def _apply_cgroup(cg, enc: Dict[str, Any], pages: Dict[int, Page]) -> None:
+def _apply_cgroup(cg, enc: Dict[str, Any]) -> None:
     cg.compressibility = float(enc["compressibility"])
     cg.memory_max = _opt_int(enc["memory_max"])
     cg.memory_low = int(enc["memory_low"])
@@ -356,22 +370,14 @@ def _apply_cgroup(cg, enc: Dict[str, Any], pages: Dict[int, Page]) -> None:
     cg.shadow._stamps = {
         int(pid): int(stamp) for pid, stamp in enc["shadow"]["stamps"]
     }
-    for kind, lru_set in cg.lru.items():
-        kind_enc = enc["lru"][kind.value]
-        for lru_list, pids in (
-            (lru_set.active, kind_enc["active"]),
-            (lru_set.inactive, kind_enc["inactive"]),
-        ):
-            lru_list._pages.clear()
-            # Re-inserting in the stored cold-to-hot iteration order
-            # reproduces the OrderedDict order exactly.
-            for pid in pids:
-                lru_list._pages[int(pid)] = pages[int(pid)]
+    for kind, nr in zip((PageKind.ANON, PageKind.FILE), enc["lru"]):
+        lru = cg.lru[kind]
+        lru.nr = [int(nr[0]), int(nr[1])]
+        lru.forget_cursors()
 
 
 def _encode_mm(mm) -> Dict[str, Any]:
     return {
-        "next_page_id": int(mm._next_page_id),
         "proactive_cpu_seconds": float(mm.proactive_cpu_seconds),
         "retry_stall_s": float(mm.retry_stall_s),
         "swap_op_count": int(mm.swap_op_count),
@@ -381,13 +387,12 @@ def _encode_mm(mm) -> Dict[str, Any]:
         "kswapd_low_frac": float(mm.kswapd_low_frac),
         "kswapd_high_frac": float(mm.kswapd_high_frac),
         "kswapd_reclaimed_bytes": int(mm.kswapd_reclaimed_bytes),
-        "pages": [_encode_page(p) for p in mm._pages.values()],
-        "cgroups": [_encode_cgroup(cg) for cg in mm._cgroups.values()],
+        "table": _encode_table(mm.table),
+        "cgroups": [_encode_cgroup(cg) for cg in mm._cgroup_list],
     }
 
 
 def _apply_mm(mm, enc: Dict[str, Any]) -> None:
-    mm._next_page_id = int(enc["next_page_id"])
     mm.proactive_cpu_seconds = float(enc["proactive_cpu_seconds"])
     mm.retry_stall_s = float(enc["retry_stall_s"])
     mm.swap_op_count = int(enc["swap_op_count"])
@@ -398,12 +403,6 @@ def _apply_mm(mm, enc: Dict[str, Any]) -> None:
     mm.kswapd_high_frac = float(enc["kswapd_high_frac"])
     mm.kswapd_reclaimed_bytes = int(enc["kswapd_reclaimed_bytes"])
 
-    pages: Dict[int, Page] = {}
-    for page_enc in enc["pages"]:
-        page = _decode_page(page_enc)
-        pages[page.page_id] = page
-    mm._pages = pages
-
     for cg_enc in enc["cgroups"]:
         name = cg_enc["name"]
         if name not in mm._cgroups:
@@ -412,7 +411,14 @@ def _apply_mm(mm, enc: Dict[str, Any]) -> None:
                 parent=cg_enc["parent"] or "root",
                 compressibility=float(cg_enc["compressibility"]),
             )
-        _apply_cgroup(mm._cgroups[name], cg_enc, pages)
+        _apply_cgroup(mm._cgroups[name], cg_enc)
+    # Snapshot cgroup index -> this host's; index -1 (released) stays.
+    remap = np.array(
+        [mm._cgroups[cg_enc["name"]].index for cg_enc in enc["cgroups"]]
+        + [-1],
+        dtype=np.int64,
+    )
+    _apply_table(mm.table, enc["table"], remap)
 
 
 # ----------------------------------------------------------------------
@@ -607,7 +613,7 @@ def _encode_workload(workload: Workload) -> Dict[str, Any]:
         "type": type_name,
         "cgroup": workload.cgroup_name,
         "profile": encode_profile(workload.profile),
-        "pages": [int(p.page_id) for p in workload._pages],
+        "pages": workload._pages.tolist(),
         "intervals": [float(v) for v in workload._intervals],
         "growth_carry": float(workload._growth_carry),
         "pending_spike_pages": int(workload._pending_spike_pages),
@@ -629,7 +635,7 @@ def _encode_workload(workload: Workload) -> Dict[str, Any]:
             "amplitude": float(workload.amplitude),
             "footprint_swing": float(workload.footprint_swing),
             "phase_s": float(workload.phase_s),
-            "swing_pages": [int(p.page_id) for p in workload._swing_pages],
+            "swing_pages": workload._swing_pages.tolist(),
             "current_intensity": _opt_float(
                 getattr(workload, "_current_intensity", None)
             ),
@@ -669,14 +675,14 @@ def _decode_workload(host, enc: Dict[str, Any]) -> Workload:
             footprint_swing=float(diurnal["footprint_swing"]),
             phase_s=float(diurnal["phase_s"]),
         )
-        workload._swing_pages = [
-            host.mm._pages[int(pid)] for pid in diurnal["swing_pages"]
-        ]
+        workload._swing_pages = np.array(
+            diurnal["swing_pages"], dtype=np.int64
+        )
         if diurnal["current_intensity"] is not None:
             workload._current_intensity = float(
                 diurnal["current_intensity"]
             )
-    workload._pages = [host.mm._pages[int(pid)] for pid in enc["pages"]]
+    workload._pages = np.array(enc["pages"], dtype=np.int64)
     workload._intervals = np.array(enc["intervals"], dtype=np.float64)
     workload._growth_carry = float(enc["growth_carry"])
     workload._pending_spike_pages = int(enc["pending_spike_pages"])

@@ -28,7 +28,10 @@ from typing import Any, Dict, Optional
 #: versioning policy is documented in docs/RESILIENCE.md).
 #: v2: Supervisor payloads carry ``quarantined``/``consecutive_deaths``
 #: and an Optional ``max_restarts`` in their config.
-SCHEMA_VERSION = 2
+#: v3: the memory manager is one column-encoded page table (LRU order
+#: is its ``seq`` column) instead of per-page records plus per-list
+#: page-id orders.
+SCHEMA_VERSION = 3
 
 #: Payload marker distinguishing host snapshots from other documents.
 PAYLOAD_KIND = "tmo-host-snapshot"

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
-from repro.kernel.lru import LruSet
-from repro.kernel.page import PageKind
+from repro.kernel.lru import LruVec
+from repro.kernel.page import PageKind, PageTable
 from repro.kernel.shadow import ShadowMap
 from repro.kernel.vmstat import RateEstimator, VmStat
 
@@ -30,13 +30,22 @@ class Cgroup:
         page_size_bytes: int,
         parent: Optional["Cgroup"] = None,
         compressibility: float = 3.0,
+        table: Optional[PageTable] = None,
+        index: int = 0,
     ) -> None:
+        """
+        Args:
+            table: the owning memory manager's page table; a standalone
+                cgroup (unit tests) gets a private one.
+            index: this cgroup's value in the table's ``cgroup`` column.
+        """
         if page_size_bytes <= 0:
             raise ValueError(f"page_size_bytes must be positive, got {page_size_bytes}")
         self.name = name
+        self.index = index
         self.page_size_bytes = page_size_bytes
         self.parent = parent
-        self.children: Dict[str, Cgroup] = {}
+        self.children: Dict[str, Cgroup] = {}  # tmo-lint: transient -- from parents
         if parent is not None:
             if name in parent.children:
                 raise ValueError(
@@ -65,9 +74,10 @@ class Cgroup:
         self.swap_bytes = 0
         self.zswap_bytes = 0
 
-        self.lru: Dict[PageKind, LruSet] = {
-            PageKind.ANON: LruSet(PageKind.ANON, name),
-            PageKind.FILE: LruSet(PageKind.FILE, name),
+        table = PageTable() if table is None else table
+        self.lru: Dict[int, LruVec] = {
+            PageKind.ANON: LruVec(table, index, PageKind.ANON),
+            PageKind.FILE: LruVec(table, index, PageKind.FILE),
         }
         self.shadow = ShadowMap()
         self.vmstat = VmStat()
@@ -103,16 +113,16 @@ class Cgroup:
         """Logical bytes this cgroup holds in offload backends."""
         return self.swap_bytes + self.zswap_bytes
 
-    def charge(self, kind: PageKind, nbytes: int) -> None:
+    def charge(self, kind: int, nbytes: int) -> None:
         """Charge resident bytes for a page entering DRAM."""
-        if kind is PageKind.ANON:
+        if kind == PageKind.ANON:
             self.anon_bytes += nbytes
         else:
             self.file_bytes += nbytes
 
-    def uncharge(self, kind: PageKind, nbytes: int) -> None:
+    def uncharge(self, kind: int, nbytes: int) -> None:
         """Release resident bytes for a page leaving DRAM."""
-        if kind is PageKind.ANON:
+        if kind == PageKind.ANON:
             self.anon_bytes -= nbytes
             if self.anon_bytes < 0:
                 raise RuntimeError(

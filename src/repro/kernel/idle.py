@@ -20,6 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.kernel.mm import MemoryManager
+from repro.kernel.page import UNLISTED
 
 #: CPU seconds to test-and-clear one page's idle bit.
 IDLE_SCAN_COST_S = 0.5e-6
@@ -53,7 +54,7 @@ class AgeHistogram:
                 break
         else:
             self.counts[-1] += 1
-        self.total_pages += 1
+        self.total_pages += 1  # tmo-lint: transient -- a report, not host state
 
     def fraction_older_than(self, age_s: float) -> float:
         """Share of pages idle for at least ``age_s`` (must be an edge)."""
@@ -73,26 +74,21 @@ class IdlePageTracker:
     def __init__(self, mm: MemoryManager) -> None:
         self.mm = mm
         #: Total CPU seconds consumed by scanning (the cost TMO avoids).
-        self.scan_cpu_seconds = 0.0
-        self.pages_scanned = 0
+        #: A profiling tool's own tally, not host state.
+        self.scan_cpu_seconds = 0.0  # tmo-lint: transient -- tool tally
+        self.pages_scanned = 0  # tmo-lint: transient -- tool tally
 
     def _resident_ages(self, cgroup_name: str, now: float) -> np.ndarray:
-        """Idle ages of the cgroup's resident pages, in LRU-list order.
+        """Idle ages of the cgroup's resident pages, in page-id order.
 
-        The cgroup's active/inactive lists hold exactly its resident
-        pages, so one pass over them replaces the old filter over every
-        page the memory manager has ever allocated.
+        The pages on the cgroup's LRU lists are exactly its resident
+        ones: a column mask over the page table selects them.
         """
-        cgroup = self.mm.cgroup(cgroup_name)
-        ages = np.fromiter(
-            (
-                page.last_access
-                for lruset in cgroup.lru.values()
-                for lru in (lruset.active, lruset.inactive)
-                for page in lru
-            ),
-            dtype=np.float64,
-        )
+        index = self.mm.cgroup(cgroup_name).index
+        table = self.mm.table
+        n = table.n_pages
+        on_lru = (table.cgroup[:n] == index) & (table.seq[:n] != UNLISTED)
+        ages = table.last_access[:n][on_lru]
         np.subtract(now, ages, out=ages)
         np.maximum(ages, 0.0, out=ages)
         return ages

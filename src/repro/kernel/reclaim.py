@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.backends.base import BackendFaultError
-from repro.kernel.page import Page, PageKind, PageState
+from repro.kernel.page import PageKind, PageState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.cgroup import Cgroup
@@ -35,6 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: paper reports Senpai-driven reclaim at 0.05% of all CPU cycles; this
 #: constant reproduces that order of magnitude at production scan rates.
 SCAN_COST_S = 2e-6
+
+_FILE = int(PageKind.FILE)
+_ANON = int(PageKind.ANON)
+_SWAPPED = int(PageState.SWAPPED)
+_EVICTED = int(PageState.EVICTED)
 
 
 class ReclaimPolicy(abc.ABC):
@@ -133,13 +138,15 @@ class ReclaimOutcome:
     exhausted: bool = False
 
     def merge(self, other: "ReclaimOutcome") -> None:
-        self.reclaimed_bytes += other.reclaimed_bytes
-        self.reclaimed_file_bytes += other.reclaimed_file_bytes
-        self.reclaimed_anon_bytes += other.reclaimed_anon_bytes
-        self.scanned_pages += other.scanned_pages
-        self.cpu_seconds += other.cpu_seconds
-        self.stall_seconds += other.stall_seconds
-        self.exhausted = self.exhausted or other.exhausted
+        # A per-call result folded into its caller's; never held
+        # across ticks, so none of it is checkpoint state.
+        self.reclaimed_bytes += other.reclaimed_bytes  # tmo-lint: transient -- per call
+        self.reclaimed_file_bytes += other.reclaimed_file_bytes  # tmo-lint: transient -- per call
+        self.reclaimed_anon_bytes += other.reclaimed_anon_bytes  # tmo-lint: transient -- per call
+        self.scanned_pages += other.scanned_pages  # tmo-lint: transient -- per call
+        self.cpu_seconds += other.cpu_seconds  # tmo-lint: transient -- per call
+        self.stall_seconds += other.stall_seconds  # tmo-lint: transient -- per call
+        self.exhausted = self.exhausted or other.exhausted  # tmo-lint: transient -- per call
 
 
 class Reclaimer:
@@ -222,29 +229,33 @@ class Reclaimer:
         file_credit = 0.0
         scan_budget = self.MAX_SCAN_FACTOR * target_pages
         reclaimed_pages = 0
+        file_lru = cgroup.lru[_FILE]
+        anon_lru = cgroup.lru[_ANON]
         while reclaimed_pages < target_pages and scan_budget > 0:
             file_credit += file_frac
-            if file_credit >= 1.0 and len(cgroup.lru[PageKind.FILE]) > 0:
-                kind = PageKind.FILE
+            if file_credit >= 1.0 and len(file_lru) > 0:
+                kind = _FILE
                 file_credit -= 1.0
-            elif swap_available and len(cgroup.lru[PageKind.ANON]) > 0:
-                kind = PageKind.ANON
-            elif len(cgroup.lru[PageKind.FILE]) > 0:
-                kind = PageKind.FILE
+            elif swap_available and len(anon_lru) > 0:
+                kind = _ANON
+            elif len(file_lru) > 0:
+                kind = _FILE
             else:
                 outcome.exhausted = True
                 break
 
-            page, scans = self._isolate_cold_page(cgroup, kind)
+            page_id, scans = self._isolate_cold_page(cgroup, kind)
             scan_budget -= max(1, scans)
             outcome.scanned_pages += max(1, scans)
             cgroup.vmstat.pgscan += max(1, scans)
-            if page is None:
+            if page_id is None:
                 continue
-            evicted = self._evict(cgroup, page, now, synchronous, outcome)
+            evicted = self._evict(
+                cgroup, kind, page_id, now, synchronous, outcome
+            )
             if evicted:
                 reclaimed_pages += 1
-            elif kind is PageKind.ANON:
+            elif kind == _ANON:
                 # Swap filled up mid-reclaim: stop considering anon.
                 swap_available = False
                 file_frac = 1.0
@@ -252,21 +263,22 @@ class Reclaimer:
         outcome.cpu_seconds += outcome.scanned_pages * SCAN_COST_S
         return outcome
 
-    def _isolate_cold_page(self, cgroup: "Cgroup", kind: PageKind):
+    def _isolate_cold_page(self, cgroup: "Cgroup", kind: int):
         """Pull one evictable page off the inactive tail.
 
-        Returns ``(page_or_None, pages_scanned)``. Handles deactivation
+        Returns ``(page_id_or_None, pages_scanned)``. Handles deactivation
         of an oversized active list and second chances for referenced
         pages.
         """
         lru = cgroup.lru[kind]
         scans = 0
         # Refill the inactive list when it is empty or undersized.
-        while len(lru.inactive) == 0 and len(lru.active) > 0:
+        nr = lru.nr  # [inactive, active] lengths
+        while nr[0] == 0 and nr[1] > 0:
             demoted = lru.deactivate_one()
             scans += 1
             cgroup.vmstat.pgdeactivate += 1
-            if scans > len(lru.active) + 1:
+            if scans > nr[1] + 1:
                 break
             if demoted is None:
                 continue
@@ -285,7 +297,8 @@ class Reclaimer:
     def _evict(
         self,
         cgroup: "Cgroup",
-        page: Page,
+        kind: int,
+        page_id: int,
         now: float,
         synchronous: bool,
         outcome: ReclaimOutcome,
@@ -297,42 +310,43 @@ class Reclaimer:
         and the caller falls back to the other pool.
         """
         page_size_bytes = cgroup.page_size_bytes
-        if page.kind is PageKind.FILE:
-            if page.dirty:
+        cells = self.mm.table.cells
+        if kind == _FILE:
+            if cells.dirty[page_id]:
                 # Write back *before* any eviction bookkeeping so a
                 # device fault leaves the page fully intact (dirty,
                 # resident, on its LRU) for a later pass to retry.
                 self.mm.fs_op_count += 1
                 try:
                     latency = self.mm.fs.store(
-                        page_size_bytes, page.compressibility, now
+                        page_size_bytes, cells.compressibility[page_id],
+                        now,
                     )
                 except BackendFaultError:
                     self.mm.fs_fault_count += 1
-                    cgroup.lru[PageKind.FILE].insert_active(page)
+                    cgroup.lru[_FILE].insert_active(page_id)
                     return False
                 cgroup.vmstat.pgwriteback += 1
-                page.dirty = False
+                cells.dirty[page_id] = False
                 if synchronous:
                     outcome.stall_seconds += latency
-            stamp = cgroup.shadow.record_eviction(page.page_id)
-            page.shadow_stamp = stamp
-            page.state = PageState.EVICTED
+            cgroup.shadow.record_eviction(page_id)
+            cells.state[page_id] = _EVICTED
             cgroup.vmstat.workingset_evict += 1
-            cgroup.uncharge(PageKind.FILE, page_size_bytes)
+            cgroup.uncharge(_FILE, page_size_bytes)
             outcome.reclaimed_file_bytes += page_size_bytes
         else:
-            cpu_cost = self.mm.swap_out(page, now)
+            cpu_cost = self.mm.swap_out(page_id, now)
             if cpu_cost is None:
                 # Backend full: put the page back; it stays resident.
-                cgroup.lru[PageKind.ANON].insert_active(page)
+                cgroup.lru[_ANON].insert_active(page_id)
                 return False
             outcome.cpu_seconds += cpu_cost
-            cgroup.uncharge(PageKind.ANON, page_size_bytes)
-            cgroup.swap_bytes += page_size_bytes if page.state is PageState.SWAPPED else 0
-            cgroup.zswap_bytes += (
-                page_size_bytes if page.state is PageState.ZSWAPPED else 0
-            )
+            cgroup.uncharge(_ANON, page_size_bytes)
+            if cells.state[page_id] == _SWAPPED:
+                cgroup.swap_bytes += page_size_bytes
+            else:
+                cgroup.zswap_bytes += page_size_bytes
             cgroup.vmstat.pswpout += 1
             outcome.reclaimed_anon_bytes += page_size_bytes
 

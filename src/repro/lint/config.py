@@ -144,6 +144,7 @@ def default_config() -> LintConfig:
                     "repro.psi.",
                     "repro.workloads.",
                     "repro.faults.",
+                    "repro.kernel.",
                 ),
                 # Classes the codec refuses wholesale at snapshot time
                 # (trace workloads hold open recorders/replays), so

@@ -95,6 +95,9 @@ _INIT_METHODS = frozenset({"__init__", "__post_init__"})
 _MUTABLE_CTORS = frozenset({
     "dict", "list", "set", "bytearray",
     "defaultdict", "OrderedDict", "Counter", "deque",
+    # numpy arrays are mutable containers too (the page table's columns
+    # are written in place, never reassigned).
+    "empty", "zeros", "ones", "full", "array", "arange",
 })
 
 #: Method calls that mutate their receiver in place.

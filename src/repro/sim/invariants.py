@@ -1,7 +1,7 @@
 """Debug-mode runtime invariant checking.
 
 The simulator maintains several redundant views of the same state —
-byte counters on cgroups, page objects in the MM, LRU membership,
+byte counters on cgroups, the MM's page table, LRU list lengths,
 PSI stall integrals. In normal runs the redundancy is what makes the
 experiments cheap to record; in debug runs it is an opportunity to
 cross-check. :class:`InvariantChecker` walks those views after every
@@ -11,8 +11,8 @@ the (much later) metric that exposed it.
 
 Enable it per host with ``HostConfig(check_invariants=True)`` or
 globally with the ``TMO_CHECK_INVARIANTS`` environment variable
-(``1``/``true``/``yes``/``on``). The checks cost one full page-table
-walk per tick, so they default to off.
+(``1``/``true``/``yes``/``on``). The checks cost a few passes over the
+page table per tick, so they default to off.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.kernel.page import PageKind, PageState
+import numpy as np
+
+from repro.kernel.page import UNLISTED, PageKind, PageState
 from repro.psi.types import Resource
 
 #: Environment variable that switches checking on for every host whose
@@ -86,42 +88,34 @@ class InvariantChecker:
         counters the charge/uncharge paths maintain incrementally.
         """
         psize = mm.page_size_bytes
-        # Per-cgroup tallies are allocated up front so the per-page loop
-        # only increments counters (the checker runs every tick under
-        # TMO_CHECK_INVARIANTS, inside the lint's hot region).
-        tallies: Dict[str, Dict[str, int]] = {
-            cgroup.name: {"anon": 0, "file": 0, "swap": 0, "zswap": 0}
-            for cgroup in mm.cgroups()
-        }
-        for page in mm.pages():
-            tally = tallies.get(page.cgroup)
-            if tally is None:
-                # A page charged to no known cgroup has no byte counters
-                # to cross-check; the per-cgroup LRU check catches it.
-                continue
-            if page.state is PageState.RESIDENT:
-                key = "anon" if page.kind is PageKind.ANON else "file"
-                tally[key] += 1
-            elif page.state is PageState.SWAPPED:
-                tally["swap"] += 1
-            elif page.state is PageState.ZSWAPPED:
-                tally["zswap"] += 1
-            # EVICTED/ABSENT pages hold no charged bytes anywhere.
-
-        for cgroup in mm.cgroups():
-            tally = tallies[cgroup.name]
-            for key, actual in (
-                ("anon", cgroup.anon_bytes),
-                ("file", cgroup.file_bytes),
-                ("swap", cgroup.swap_bytes),
-                ("zswap", cgroup.zswap_bytes),
+        table = mm.table
+        live = table.live()
+        # One histogram over the page table: key = cgroup * 6 + slot,
+        # slot = resident anon, resident file, then one per other state.
+        state = table.state[live].astype(np.int64)
+        slot = np.where(
+            state == PageState.RESIDENT, table.kind[live], state + 1
+        )
+        cgroups = mm.cgroups()
+        counts = np.bincount(
+            table.cgroup[live].astype(np.int64) * 6 + slot,
+            minlength=6 * len(cgroups),
+        ).reshape(-1, 6)
+        for cgroup in cgroups:
+            tally = counts[cgroup.index]
+            for key, slot_index, actual in (
+                ("anon", PageKind.ANON, cgroup.anon_bytes),
+                ("file", PageKind.FILE, cgroup.file_bytes),
+                ("swap", PageState.SWAPPED + 1, cgroup.swap_bytes),
+                ("zswap", PageState.ZSWAPPED + 1, cgroup.zswap_bytes),
             ):
-                expected = tally[key] * psize
+                pages = int(tally[slot_index])
+                expected = pages * psize
                 if actual != expected:
                     raise InvariantViolation(
                         f"cgroup {cgroup.name!r}: {key}_bytes is "
                         f"{actual} but its page population implies "
-                        f"{expected} ({tally[key]} pages x {psize} B)"
+                        f"{expected} ({pages} pages x {psize} B)"
                     )
                 if actual < 0:
                     raise InvariantViolation(
@@ -130,21 +124,44 @@ class InvariantChecker:
                     )
 
     def check_lru_accounting(self, mm) -> None:
-        """Each LRU must hold exactly the resident pages of its kind."""
+        """Each LRU must hold exactly the resident pages of its kind.
+
+        The list lengths are plain ints kept beside the page table;
+        they must match both the byte counters and the table's own
+        count of listed pages per (cgroup, kind, active) list.
+        """
         psize = mm.page_size_bytes
-        for cgroup in mm.cgroups():
+        table = mm.table
+        n = table.n_pages
+        listed = np.flatnonzero(table.seq[:n] != UNLISTED)
+        cgroups = mm.cgroups()
+        members = np.bincount(
+            table.cgroup[listed].astype(np.int64) * 4
+            + table.kind[listed].astype(np.int64) * 2
+            + table.active[listed],
+            minlength=4 * len(cgroups),
+        ).reshape(-1, 2, 2)
+        for cgroup in cgroups:
             for kind in (PageKind.ANON, PageKind.FILE):
-                lru_bytes = len(cgroup.lru[kind]) * psize
+                lru = cgroup.lru[kind]
+                lru_bytes = len(lru) * psize
                 counter = (
                     cgroup.anon_bytes
-                    if kind is PageKind.ANON
+                    if kind == PageKind.ANON
                     else cgroup.file_bytes
                 )
                 if lru_bytes != counter:
                     raise InvariantViolation(
                         f"cgroup {cgroup.name!r}: {kind.name} LRU holds "
-                        f"{len(cgroup.lru[kind])} pages ({lru_bytes} B) "
+                        f"{len(lru)} pages ({lru_bytes} B) "
                         f"but the byte counter says {counter} B"
+                    )
+                on_table = members[cgroup.index, kind].tolist()
+                if on_table != lru.nr:
+                    raise InvariantViolation(
+                        f"cgroup {cgroup.name!r}: {kind.name} LRU lengths "
+                        f"(inactive, active) are {lru.nr} but the page "
+                        f"table lists {on_table}"
                     )
 
     def check_dram_budget(self, mm) -> None:

@@ -10,12 +10,11 @@ and the experiment metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from repro.kernel.mm import MemoryManager, OutOfMemoryError
-from repro.kernel.page import Page
 from repro.sim.rng import derive_rng
 from repro.workloads.access import (
     assign_reaccess_intervals,
@@ -81,7 +80,9 @@ class Workload:
         self.profile = profile
         self.cgroup_name = cgroup_name
         self._rng = derive_rng(seed, f"workload:{profile.name}:{cgroup_name}")
-        self._pages: List[Page] = []
+        #: Page ids (int64), in allocation order; touch selection
+        #: indexes into this array.
+        self._pages = np.empty(0, dtype=np.int64)
         self._intervals = np.empty(0)
         # Touch-probability cache: valid while the interval array object
         # and dt are unchanged. Paths that replace ``_intervals`` (start,
@@ -101,8 +102,8 @@ class Workload:
         return self.mm.page_size_bytes
 
     @property
-    def pages(self) -> List[Page]:
-        """The workload's page population (all states)."""
+    def pages(self) -> np.ndarray:
+        """The workload's page ids (all states), as an int64 array."""
         return self._pages
 
     @property
@@ -137,9 +138,8 @@ class Workload:
             compressibility=self.profile.compress_ratio,
         )
         dirty_count = int(round(n_file * self.profile.dirty_file_frac))
-        for page in file_pages[:dirty_count]:
-            page.dirty = True
-        self._pages = anon_pages + file_pages
+        self.mm.table.dirty[file_pages[:dirty_count]] = True
+        self._pages = np.concatenate([anon_pages, file_pages])
         self._intervals = assign_reaccess_intervals(
             len(self._pages), self.profile.bands, self._rng,
             never_share=self.profile.cold_never_share,
@@ -160,7 +160,7 @@ class Workload:
         scale = len(self._pages) / max(1, self.size_pages())
         while True:
             self.mm.release_cgroup_pages(self.cgroup_name)
-            self._pages = []
+            self._pages = np.empty(0, dtype=np.int64)
             self._intervals = np.empty(0)
             self.started = False
             try:
@@ -212,7 +212,7 @@ class Workload:
             len(new_pages), self.profile.bands, self._rng,
             never_share=self.profile.cold_never_share,
         )
-        self._pages.extend(new_pages)
+        self._pages = np.concatenate([self._pages, new_pages])
         self._intervals = np.concatenate([self._intervals, new_intervals])
         return len(new_pages)
 

@@ -15,7 +15,6 @@ allocated toward the peak and released toward the trough).
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
@@ -58,8 +57,9 @@ class DiurnalWorkload(Workload):
         self.amplitude = amplitude
         self.footprint_swing = footprint_swing
         self.phase_s = phase_s
-        #: Pages allocated above the base population (the swing pool).
-        self._swing_pages: List = []
+        #: Page ids allocated above the base population (the swing
+        #: pool), oldest first.
+        self._swing_pages = np.empty(0, dtype=np.int64)
 
     def intensity(self, now: float) -> float:
         """Current load multiplier (1.0 = the profile's base level)."""
@@ -89,24 +89,17 @@ class DiurnalWorkload(Workload):
         if target > have:
             start = len(self._pages)
             grown = self._allocate_more(target - have, now, tick)
-            self._swing_pages.extend(self._pages[start:start + grown])
+            self._swing_pages = np.concatenate(
+                [self._swing_pages, self._pages[start:start + grown]]
+            )
         elif target < have:
-            doomed = {
-                id(self._swing_pages.pop()) for _ in range(have - target)
-            }
-            keep_mask = np.ones(len(self._pages), dtype=bool)
-            for idx in range(len(self._pages) - 1, -1, -1):
-                if not doomed:
-                    break
-                page = self._pages[idx]
-                if id(page) in doomed:
-                    doomed.discard(id(page))
-                    self.mm.release_page(page)
-                    keep_mask[idx] = False
-            self._pages = [
-                p for p, keep in zip(self._pages, keep_mask) if keep
-            ]
-            self._intervals = self._intervals[keep_mask]
+            # Release the newest swing pages, last-allocated first.
+            doomed = self._swing_pages[target:]
+            self._swing_pages = self._swing_pages[:target]
+            drop = np.isin(self._pages, doomed)
+            self.mm.release_pages(self._pages[drop][::-1])
+            self._pages = self._pages[~drop]
+            self._intervals = self._intervals[~drop]
 
     def tick(self, now: float, dt: float) -> TickResult:
         self._current_intensity = self.intensity(now)

@@ -135,6 +135,36 @@ def test_schema_version_mismatch_names_the_field():
     assert str(SCHEMA_VERSION) in str(excinfo.value)
 
 
+def test_v2_snapshot_with_per_page_records_is_refused():
+    """Schema 3 encodes the page table by column; a v2 document (one
+    record per page plus per-list orders) is refused, never migrated."""
+    host = small_host()
+    host.run(60.0)
+    envelope = host.snapshot()
+    assert envelope["schema_version"] == 3
+    envelope["schema_version"] = 2
+    with pytest.raises(SnapshotError) as excinfo:
+        restore_host(envelope)
+    assert excinfo.value.field == "schema_version"
+
+
+def test_page_table_round_trips_column_by_column():
+    host = small_host()
+    host.run(60.0)
+    restored = restore_host(host.snapshot())
+    before, after = host.mm.table, restored.mm.table
+    assert after.n_pages == before.n_pages
+    assert after.next_seq == before.next_seq
+    for name in before.COLUMNS:
+        assert (
+            getattr(after, name)[: after.n_pages].tolist()
+            == getattr(before, name)[: before.n_pages].tolist()
+        ), name
+    for cg in host.mm.cgroups():
+        for kind, lru in cg.lru.items():
+            assert restored.mm.cgroup(cg.name).lru[kind].nr == lru.nr
+
+
 def test_digest_mismatch_names_the_field():
     host = small_host()
     host.run(60.0)

@@ -46,8 +46,8 @@ def test_accounting_invariants_hold_after_long_run():
     mm = host.mm
     cg = mm.cgroup("app")
     pages = host.workload("app").pages
-    resident = sum(1 for p in pages if p.state is PageState.RESIDENT)
-    zswapped = sum(1 for p in pages if p.state is PageState.ZSWAPPED)
+    resident = int((mm.table.state[pages] == PageState.RESIDENT).sum())
+    zswapped = int((mm.table.state[pages] == PageState.ZSWAPPED).sum())
     assert resident * mm.page_size_bytes == cg.resident_bytes
     assert zswapped * mm.page_size_bytes == cg.zswap_bytes
     # LRU lists hold exactly the resident pages.

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policy import reclaim_amount
-from repro.kernel.lru import LruSet
-from repro.kernel.page import Page, PageKind
+from repro.kernel.lru import ACTIVE, INACTIVE, LruVec
+from repro.kernel.page import PageKind, PageState, PageTable
 from repro.kernel.shadow import ShadowMap
 from repro.psi.avgs import RunningAverages
 from repro.psi.group import FULL, SOME, PsiGroup
@@ -65,27 +65,28 @@ def lru_operations(draw):
 @settings(max_examples=60)
 def test_lru_never_loses_or_duplicates_pages(case):
     n, ops = case
-    lruset = LruSet(PageKind.FILE, "g")
-    pages = [Page(page_id=i, kind=PageKind.FILE, cgroup="g") for i in range(n)]
+    table = PageTable()
+    table.append(n, 0, PageKind.FILE, PageState.RESIDENT, False, 3.0, 0.0)
+    lru = LruVec(table, 0, PageKind.FILE)
     alive = set(range(n))
-    for page in pages:
-        lruset.insert_new(page)
+    for pid in range(n):
+        lru.insert_new(pid)
     for op, idx in ops:
-        page = pages[idx]
         if op == "touch" and idx in alive:
-            lruset.touch(page)
+            lru.touch(idx)
         elif op == "scan":
-            victim, evictable = lruset.scan_tail()
+            victim, evictable = lru.scan_tail()
             if victim is not None and evictable:
-                alive.discard(victim.page_id)
+                alive.discard(victim)
         elif op == "deactivate":
-            lruset.deactivate_one()
+            lru.deactivate_one()
         # Invariant: resident pages are on exactly one list.
-        assert len(lruset) == len(alive)
-        on_active = {p.page_id for p in lruset.active}
-        on_inactive = {p.page_id for p in lruset.inactive}
+        assert len(lru) == len(alive)
+        on_active = set(lru.members(ACTIVE).tolist())
+        on_inactive = set(lru.members(INACTIVE).tolist())
         assert not (on_active & on_inactive)
         assert on_active | on_inactive == alive
+        assert lru.nr == [len(on_inactive), len(on_active)]
 
 
 # ----------------------------------------------------------------------

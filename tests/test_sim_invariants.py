@@ -8,6 +8,7 @@ at the tick that introduces them.
 
 import pytest
 
+from repro.kernel.lru import ACTIVE, INACTIVE
 from repro.kernel.page import PageKind
 from repro.psi.types import Resource
 from repro.sim.host import Host, HostConfig
@@ -122,7 +123,7 @@ def test_catches_lru_membership_leak():
     # Drop one resident file page from its LRU without uncharging —
     # the classic "forgot to update the list" bug.
     lru = cgroup.lru[PageKind.FILE]
-    victim = next(iter(lru.inactive or lru.active))
+    victim = lru.tail(INACTIVE) if lru.nr[INACTIVE] else lru.tail(ACTIVE)
     lru.remove(victim)
     checker = host.invariants
     with pytest.raises(InvariantViolation, match="LRU"):

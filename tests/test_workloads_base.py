@@ -1,5 +1,6 @@
 """Unit tests for the generic workload driver."""
 
+import numpy as np
 import pytest
 
 from repro.kernel.page import PageKind, PageState
@@ -37,19 +38,20 @@ def make_workload(mm=None, profile=None, **overrides):
 def test_start_splits_anon_and_file():
     w = make_workload()
     w.start(0.0)
-    anon = [p for p in w.pages if p.kind is PageKind.ANON]
-    file = [p for p in w.pages if p.kind is PageKind.FILE]
+    kinds = w.mm.table.kind[w.pages]
+    anon = w.pages[kinds == PageKind.ANON]
+    file = w.pages[kinds == PageKind.FILE]
     assert len(anon) == 60
     assert len(file) == 40
     # Non-preload profile: file pages start on disk.
-    assert all(p.state is PageState.ABSENT for p in file)
+    assert (w.mm.table.state[file] == PageState.ABSENT).all()
 
 
 def test_start_with_preload_makes_file_resident():
     w = make_workload(file_preload=True)
     w.start(0.0)
-    file = [p for p in w.pages if p.kind is PageKind.FILE]
-    assert all(p.state is PageState.RESIDENT for p in file)
+    file = w.pages[w.mm.table.kind[w.pages] == PageKind.FILE]
+    assert (w.mm.table.state[file] == PageState.RESIDENT).all()
 
 
 def test_double_start_rejected():
@@ -125,11 +127,11 @@ def test_restart_rebuilds_population():
     w = make_workload()
     w.start(0.0)
     w.mm.memory_reclaim("app", 20 * PAGE, now=1.0)
-    old_pages = list(w.pages)
+    old_pages = w.pages.copy()
     w.restart(2.0)
     assert w.started
     assert w.npages_total == len(old_pages)
-    assert all(p not in old_pages for p in w.pages)
+    assert not np.isin(w.pages, old_pages).any()
     cg = w.mm.cgroup("app")
     assert cg.zswap_bytes == 0  # offloaded state dropped with restart
 
